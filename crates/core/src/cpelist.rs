@@ -8,6 +8,17 @@
 //! the real GROMACS nbnxn kernels handle exclusions. Shift vectors bake
 //! the minimum-image convention into the list so the inner kernel is
 //! branch-free: `d = pos_a - (pos_b + shift)`.
+//!
+//! The two halves of a lowering live for different spans. The CSR
+//! (`offsets`, `neighbors`) and the masks depend only on the
+//! [`PairList`] and the exclusions, so they live as long as the list —
+//! one `nstlist` period. The shifts depend on the current cluster
+//! centers: the image they select cannot change between rebuilds, but
+//! their f32 value is `c_i - min_image(c_i, c_j) - c_j`, whose rounding
+//! follows the centers' low bits every step. The bit-exact replay
+//! contract (an engine and a reference that lowers from scratch every
+//! step agree bit for bit) therefore needs the shifts recomputed each
+//! step, which [`CpePairList::refresh_shifts`] does in place.
 
 use mdsim::cluster::{CLUSTER_SIZE, FILLER};
 use mdsim::pairlist::{ListKind, PairList};
@@ -34,16 +45,11 @@ pub struct CpePairList {
 }
 
 impl CpePairList {
-    /// Lower a geometric [`PairList`] into kernel form, computing masks
-    /// from `sys`'s exclusions and shifts from cluster centers.
+    /// Lower a geometric [`PairList`] into kernel form: masks from
+    /// `sys`'s exclusions, then shifts via [`Self::refresh_shifts`].
     pub fn build(sys: &System, list: &PairList) -> Self {
-        let nc = list.n_clusters();
-        let centers: Vec<mdsim::Vec3> = (0..nc)
-            .map(|c| list.clustering.center(&sys.pbc, &sys.pos, c))
-            .collect();
         let mut masks = Vec::with_capacity(list.n_pairs());
-        let mut shifts = Vec::with_capacity(list.n_pairs());
-        for ci in 0..nc {
+        for ci in 0..list.n_clusters() {
             let mi = list.clustering.members(ci);
             for &cj in list.neighbors_of(ci) {
                 let cj = cj as usize;
@@ -68,21 +74,39 @@ impl CpePairList {
                     }
                 }
                 masks.push(mask);
-                // Shift: translate cj's center to its minimum image
-                // relative to ci's center.
-                let d = sys.pbc.min_image(centers[ci], centers[cj]);
-                let imaged = centers[ci] - d; // cj center seen from ci
-                let s = imaged - centers[cj];
-                shifts.push([s.x, s.y, s.z]);
             }
         }
-        Self {
+        let mut cpe = Self {
             offsets: list.offsets.clone(),
             neighbors: list.neighbors.clone(),
             masks,
-            shifts,
+            shifts: Vec::with_capacity(list.n_pairs()),
             kind: list.kind,
             rlist: list.rlist,
+        };
+        cpe.refresh_shifts(sys, list);
+        cpe
+    }
+
+    /// Recompute every entry's shift from `sys`'s current positions,
+    /// reusing the `shifts` buffer. `list` must be the list this
+    /// lowering was built from; masks and CSR are left as they are.
+    pub fn refresh_shifts(&mut self, sys: &System, list: &PairList) {
+        debug_assert_eq!(self.neighbors, list.neighbors, "lowered from another list");
+        let centers: Vec<mdsim::Vec3> = (0..list.n_clusters())
+            .map(|c| list.clustering.center(&sys.pbc, &sys.pos, c))
+            .collect();
+        self.shifts.clear();
+        for ci in 0..list.n_clusters() {
+            for &cj in list.neighbors_of(ci) {
+                // Translate cj's center to its minimum image relative to
+                // ci's center.
+                let cj = cj as usize;
+                let d = sys.pbc.min_image(centers[ci], centers[cj]);
+                let imaged = centers[ci] - d; // cj center seen from ci
+                let s = imaged - centers[cj];
+                self.shifts.push([s.x, s.y, s.z]);
+            }
         }
     }
 
@@ -213,6 +237,44 @@ mod tests {
             }
         }
         assert!(checked > 1000, "only {checked} pairs checked");
+    }
+
+    fn shift_bits(cpe: &CpePairList) -> Vec<[u32; 3]> {
+        cpe.shifts.iter().map(|s| s.map(f32::to_bits)).collect()
+    }
+
+    #[test]
+    fn refreshed_shifts_match_a_fresh_lowering_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let (mut sys, list, mut cpe) = setup();
+        let before = shift_bits(&cpe);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        for p in &mut sys.pos {
+            *p += mdsim::vec3(
+                rng.gen_range(-0.01..0.01),
+                rng.gen_range(-0.01..0.01),
+                rng.gen_range(-0.01..0.01),
+            );
+        }
+        cpe.refresh_shifts(&sys, &list);
+        let fresh = CpePairList::build(&sys, &list);
+        assert_eq!(cpe.offsets, fresh.offsets);
+        assert_eq!(cpe.neighbors, fresh.neighbors);
+        assert_eq!(cpe.masks, fresh.masks);
+        assert_eq!(shift_bits(&cpe), shift_bits(&fresh));
+        // The move is too small to change any image, yet it moves the
+        // shifts' low bits: a refresh that kept the old shifts would fail.
+        assert_ne!(shift_bits(&cpe), before);
+    }
+
+    #[test]
+    fn refresh_shifts_reuses_the_shift_buffer() {
+        let (sys, list, mut cpe) = setup();
+        let (ptr, cap) = (cpe.shifts.as_ptr(), cpe.shifts.capacity());
+        cpe.refresh_shifts(&sys, &list);
+        assert_eq!(cpe.shifts.as_ptr(), ptr);
+        assert_eq!(cpe.shifts.capacity(), cap);
+        assert_eq!(cpe.shifts.len(), cpe.n_entries());
     }
 
     #[test]

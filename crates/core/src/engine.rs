@@ -153,7 +153,9 @@ pub struct Engine {
     config: EngineConfig,
     backend: AnyBackend,
     cg: CoreGroup,
-    list: Option<PairList>,
+    /// The pair list and its kernel-form lowering, built together every
+    /// `nstlist` steps and invalidated together.
+    list: Option<(PairList, CpePairList)>,
     constraints: Option<ConstraintSet>,
     step_idx: usize,
     pme: Option<mdsim::pme::Pme>,
@@ -231,12 +233,15 @@ impl Engine {
     }
 
     /// Resume the step counter at `step` (after restoring a checkpoint).
-    /// Checkpoint on an `nstlist` boundary for exact continuation: the
-    /// pair-list rebuild schedule is keyed to the step index, and a list
-    /// built from pre-checkpoint positions cannot be reconstructed.
+    /// Drops the pair list together with its cached lowering (masks,
+    /// CSR and shifts), so the next step searches and lowers afresh from
+    /// the restored positions. Checkpoint on an `nstlist` boundary for
+    /// exact continuation: the pair-list rebuild schedule is keyed to
+    /// the step index, and a list built from pre-checkpoint positions
+    /// cannot be reconstructed.
     pub fn resume_at(&mut self, step: usize) {
         self.step_idx = step;
-        self.list = None; // force a rebuild from the restored positions
+        self.list = None;
     }
 
     /// Whether repeated kernel faults have permanently degraded this
@@ -250,9 +255,14 @@ impl Engine {
         self.kernel_faults
     }
 
+    /// Search a new pair list and lower it once for the whole `nstlist`
+    /// period.
     fn rebuild_list(&mut self) {
+        // Free the stale list and lowering before the search allocates
+        // the new ones, so the two never coexist.
+        self.list = None;
         let v = self.config.version;
-        if matches!(v, Version::List | Version::Other) {
+        let list = if matches!(v, Version::List | Version::Other) {
             // Span opens before the CPE spawn so the per-CPE pairgen
             // spans nest under it on the timeline; ticking the region
             // cycles keeps the MPE span equal to the Breakdown row.
@@ -268,7 +278,7 @@ impl Engine {
             drop(span);
             swtel::flight::record("stage", "Neighbor search", gen.perf.cycles, 0);
             self.breakdown.add("Neighbor search", gen.perf);
-            self.list = Some(gen.list);
+            gen.list
         } else {
             // Serial MPE generation: same list, modeled cost per candidate
             // examined (~27 cells x cell occupancy per cluster).
@@ -279,17 +289,22 @@ impl Engine {
                 ..Default::default()
             };
             charge(&mut self.breakdown, "Neighbor search", perf);
-            self.list = Some(list);
-        }
+            list
+        };
+        let cpelist = CpePairList::build(&self.sys, &list);
+        self.list = Some((list, cpelist));
     }
 
     /// Advance one step. Returns the short-range kernel result.
     pub fn step(&mut self) -> NbEnergies {
         let _step = swprof::span("step");
-        if self.step_idx.is_multiple_of(self.config.nstlist) || self.list.is_none() {
-            self.rebuild_list();
+        match &mut self.list {
+            Some((list, cpelist)) if !self.step_idx.is_multiple_of(self.config.nstlist) => {
+                cpelist.refresh_shifts(&self.sys, list);
+            }
+            _ => self.rebuild_list(),
         }
-        let list = self.list.as_ref().unwrap();
+        let (list, cpelist) = self.list.as_ref().unwrap();
 
         // --- buffer ops: (re)package positions (Table 1 "NB X/F buffer ops").
         let layout = if self.config.version == Version::Ori {
@@ -298,7 +313,6 @@ impl Engine {
             PackageLayout::Transposed
         };
         let psys = PackedSystem::build(&self.sys, list.clustering.clone(), layout);
-        let cpelist = CpePairList::build(&self.sys, list);
         let pack_perf = PerfCounters {
             // One streaming pass over the particle data on CPEs.
             cycles: (self.sys.n() as u64 * 20) / self.cg.n_cpes as u64 + 2_000,
@@ -376,7 +390,7 @@ impl Engine {
             variant,
             KernelInput {
                 psys: &psys,
-                list: &cpelist,
+                list: cpelist,
                 params: &self.config.params,
             },
         );
