@@ -74,9 +74,9 @@ fn main() {
 
     let (t_metered, r_metered) = time_reps(&metered, input, METERED_REPS);
 
-    // The sidecar wall clock starts here, so its derived `steps_per_s`
-    // reflects the native loop (one kernel invocation = one step's
-    // force work at the paper's dt = 0.002 ps).
+    // The sidecar wall clock starts here, so `wall_ns` covers the native
+    // loop only. A kernel call is not an MD step, so the sidecar records
+    // no step throughput; per-call times and the speedup carry the result.
     let mut json = BenchJson::new("native_backend");
     json.config_num("particles", particles as f64);
     json.config_num("threads", threads as f64);
@@ -101,8 +101,6 @@ fn main() {
     json.metric("wall_s.metered_per_call", t_metered);
     json.metric("wall_s.native_per_call", t_native);
     json.metric("speedup.native_vs_metered", speedup);
-    json.metric("steps_per_s.metered", 1.0 / t_metered);
-    json.work(NATIVE_REPS as f64, NATIVE_REPS as f64 * 0.002e-3);
     json.write();
 
     if check {

@@ -23,7 +23,6 @@ use mdsim::nonbonded::{NbEnergies, NbParams};
 use mdsim::pairlist::{ListKind, PairList};
 use mdsim::system::System;
 use mdsim::water::{theta_hoh, D_OH};
-use serde::Serialize;
 use sw26010::cg::CoreGroup;
 use sw26010::perf::{Breakdown, PerfCounters};
 use swnet::{NetParams, Topology, Transport};
@@ -37,7 +36,7 @@ use crate::package::{PackageLayout, PackedSystem};
 use crate::pairgen;
 
 /// Fig. 10 optimization versions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Version {
     /// Unoptimized MPE-only port.
     Ori,

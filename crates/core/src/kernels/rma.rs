@@ -16,7 +16,6 @@
 
 use mdsim::nonbonded::{NbEnergies, NbParams};
 use mdsim::pairlist::ListKind;
-use serde::Serialize;
 use sw26010::cache::{CacheGeometry, ReadCache, WriteCache};
 use sw26010::cg::CoreGroup;
 use sw26010::dma::{Dir, DmaEngine};
@@ -29,7 +28,7 @@ use crate::kernels::common::{add_energy, cluster_pair_scalar, cluster_pair_simd,
 use crate::package::{PackedSystem, FORCE_WORDS, PKG_BYTES, PKG_WORDS};
 
 /// Configuration selecting a ladder rung (or any ablation combination).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RmaConfig {
     /// Use the §3.1 read cache for inner-cluster packages.
     pub read_cache: bool,

@@ -2,12 +2,13 @@
 //!
 //! The athread programming model spawns one kernel instance on each of the
 //! 64 CPEs and joins them. [`CoreGroup::spawn`] reproduces that shape: the
-//! closure runs once per CPE (in real parallel threads via crossbeam, so
-//! host wall-clock also benefits), each instance metering its own
-//! simulated cycles into a [`CpeCtx`]. The region's simulated wall time is
-//! the *maximum* over CPEs plus the spawn/join overhead — load imbalance
-//! between CPEs is therefore visible in the model, exactly the effect the
-//! paper's USTC-pipeline discussion (§2.2/§4.3) hinges on.
+//! closure runs once per CPE (in real parallel threads via
+//! `std::thread::scope`, so host wall-clock also benefits), each instance
+//! metering its own simulated cycles into a [`CpeCtx`]. The region's
+//! simulated wall time is the *maximum* over CPEs plus the spawn/join
+//! overhead — load imbalance between CPEs is therefore visible in the
+//! model, exactly the effect the paper's USTC-pipeline discussion
+//! (§2.2/§4.3) hinges on.
 
 use crate::ldm::Ldm;
 use crate::params::{
@@ -133,14 +134,14 @@ impl CoreGroup {
             .unwrap_or(4)
             .min(n);
         let chunk = n.div_ceil(threads);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let mut start = 0usize;
             let mut handles = Vec::new();
             for slice in slots.chunks_mut(chunk) {
                 let base = start;
                 start += slice.len();
                 let kernel = &kernel;
-                handles.push(s.spawn(move |_| {
+                handles.push(s.spawn(move || {
                     for (off, slot) in slice.iter_mut().enumerate() {
                         let id = base + off;
                         crate::trace::set_current_cpe(Some(id));
@@ -206,8 +207,7 @@ impl CoreGroup {
             for h in handles {
                 h.join().expect("CPE kernel panicked");
             }
-        })
-        .expect("crossbeam scope failed");
+        });
         crate::trace::end_region(epoch);
 
         let mut results = Vec::with_capacity(n);
@@ -289,6 +289,12 @@ mod tests {
             crate::simd::meter::scalar_flops(&mut ctx.perf, work);
         });
         assert!(skewed.imbalance() > 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "CPE kernel panicked")]
+    fn kernel_panic_on_one_cpe_panics_the_caller() {
+        CoreGroup::new().spawn(|ctx| assert_ne!(ctx.id, 7, "CPE 7 fails"));
     }
 
     #[test]

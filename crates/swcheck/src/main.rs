@@ -34,6 +34,7 @@ use swcheck::srclint::{lint_workspace, workspace_root};
 use swcheck::{check_events, error_count, fixtures, DualAccess, Severity, Violation};
 use swgmx::backend::BackendSel;
 use swgmx::check::{run_traced, Variant};
+use swprof::json::escaped;
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -132,7 +133,7 @@ fn cmd_check(args: &[String], json: bool) -> ExitCode {
         if json {
             run_objs.push(format!(
                 "{{\"variant\":{},\"events\":{},\"cycles\":{},\"checksum\":\"{:#018x}\",\"violations\":{}}}",
-                json_str(variant.name()),
+                escaped(variant.name()),
                 run.events.len(),
                 run.cycles,
                 run.checksum,
@@ -199,8 +200,8 @@ fn cmd_fixtures(json: bool) -> ExitCode {
         if json {
             objs.push(format!(
                 "{{\"name\":{},\"expected\":{},\"detected\":{},\"violations\":{}}}",
-                json_str(f.name),
-                json_str(f.expected),
+                escaped(f.name),
+                escaped(f.expected),
                 detected,
                 json_violations(&violations)
             ));
@@ -278,10 +279,10 @@ fn cmd_certify(args: &[String], json: bool) -> ExitCode {
             .iter()
             .map(|o| {
                 let problems: Vec<String> =
-                    o.problems.iter().map(|p| json_str(p)).collect();
+                    o.problems.iter().map(|p| escaped(p)).collect();
                 format!(
                     "{{\"variant\":{},\"checksum\":\"{:#018x}\",\"schedules\":{},\"unique_orders\":{},\"trace_len\":{},\"problems\":[{}]}}",
-                    json_str(o.variant.name()),
+                    escaped(o.variant.name()),
                     o.checksum,
                     o.replayed,
                     o.unique_orders,
@@ -292,7 +293,7 @@ fn cmd_certify(args: &[String], json: bool) -> ExitCode {
             .collect();
         println!(
             "{{\"certified\":{certified},\"backend\":{},\"variants\":[{}]}}",
-            json_str(opts.backend.backend_name()),
+            escaped(opts.backend.backend_name()),
             objs.join(",")
         );
     } else {
@@ -348,11 +349,11 @@ fn cmd_srclint(json: bool) -> ExitCode {
             .map(|f| {
                 format!(
                     "{{\"rule\":{},\"file\":{},\"line\":{},\"excerpt\":{},\"message\":{}}}",
-                    json_str(f.rule),
-                    json_str(&f.file),
+                    escaped(f.rule),
+                    escaped(&f.file),
                     f.line,
-                    json_str(&f.excerpt),
-                    json_str(&f.message)
+                    escaped(&f.excerpt),
+                    escaped(&f.message)
                 )
             })
             .collect();
@@ -378,31 +379,13 @@ fn cmd_srclint(json: bool) -> ExitCode {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn json_site(s: &swcheck::AccessSite) -> String {
     format!(
         "{{\"lane\":{},\"epoch\":{},\"index\":{},\"what\":{}}}",
-        json_str(&s.lane_name()),
+        escaped(&s.lane_name()),
         s.epoch,
         s.index,
-        json_str(&s.what)
+        escaped(&s.what)
     )
 }
 
@@ -429,17 +412,17 @@ fn json_violations(violations: &[Violation]) -> String {
                 .map(|d| {
                     format!(
                         "[{},{}]",
-                        json_str(&d.first.lane_name()),
-                        json_str(&d.second.lane_name())
+                        escaped(&d.first.lane_name()),
+                        escaped(&d.second.lane_name())
                     )
                 })
                 .unwrap_or_else(|| "[]".to_string());
             format!(
                 "{{\"rule\":{},\"severity\":{},\"kernel\":{},\"message\":{},\"lanes\":{},\"evidence\":{}}}",
-                json_str(v.id),
-                json_str(&v.severity.to_string()),
-                json_str(&v.kernel),
-                json_str(&v.message),
+                escaped(v.id),
+                escaped(&v.severity.to_string()),
+                escaped(&v.kernel),
+                escaped(&v.message),
                 lanes,
                 evidence
             )

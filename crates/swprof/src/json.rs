@@ -1,11 +1,10 @@
 //! Minimal JSON emit + parse.
 //!
-//! The workspace's `serde` is an offline no-op shim (no format crate
-//! ever walks the derives), so the exporters build their JSON by hand.
-//! This module centralizes the two halves: string escaping / number
-//! formatting for emitters, and a small recursive-descent parser used
-//! by tests and the `swprof` binary to validate everything they emit
-//! round-trips as well-formed JSON.
+//! The workspace has no serialization crate, so the exporters build
+//! their JSON by hand. This module centralizes the two halves: string
+//! escaping / number formatting for emitters, and a small
+//! recursive-descent parser used by tests and the `swprof` binary to
+//! validate everything they emit round-trips as well-formed JSON.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
