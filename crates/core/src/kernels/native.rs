@@ -7,9 +7,9 @@
 //! **Determinism contract.** The pool schedule is nondeterministic, so
 //! every source of ordering is pinned in the kernels themselves:
 //!
-//! 1. work partition — each logical lane owns the same [`lane_range`]
-//!    slice of the outer clusters (the metered `block_range` split) at
-//!    every thread count;
+//! 1. work partition — each logical lane owns the same
+//!    [`CoreGroup::block_range`] slice of the outer clusters as the
+//!    metered CPE of that index, at every thread count;
 //! 2. per-lane iteration — clusters in index order, list entries in
 //!    list order (self entry first, then pairs of two, then the tail);
 //! 3. merging — all cross-lane accumulation (force copies, energies,
@@ -37,21 +37,13 @@ use mdsim::pairlist::ListKind;
 use sw26010::cache::CacheGeometry;
 use sw26010::perf::{Breakdown, PerfCounters};
 use sw26010::pool::{NativePool, N_LANES};
-use sw26010::{trace, BitMap};
+use sw26010::{trace, BitMap, CoreGroup};
 
 use crate::check::{REGION_COPIES, REGION_FORCES, REGION_POS};
 use crate::cpelist::CpePairList;
 use crate::kernels::common::{add_energy, KernelResult};
 use crate::kernels::native_simd::{cluster_pair_wide4, cluster_pair_wide8, EntryJ, WideFi};
 use crate::package::{PackageLayout, PackedSystem, FORCE_WORDS};
-
-/// The outer-cluster slice logical lane `lane` owns: the same split as
-/// the metered `CoreGroup::block_range`, fixed at 64 lanes regardless
-/// of how many OS threads serve them.
-pub fn lane_range(n: usize, lane: usize) -> Range<usize> {
-    let per = n.div_ceil(N_LANES);
-    (lane * per).min(n)..((lane + 1) * per).min(n)
-}
 
 /// Destination for inner-cluster reaction packages: the kernels
 /// accumulate straight into the slot a sink hands out, so per-entry
@@ -354,6 +346,7 @@ pub fn run_rma_native(
         "the native RMA kernel is SIMD-only and needs the transposed layout"
     );
     let n_pkg = psys.n_packages();
+    let cg = CoreGroup::new();
     let geo = CacheGeometry::paper_default(FORCE_WORDS);
     let line_elems = geo.line_elems;
     let n_lines = n_pkg.div_ceil(line_elems);
@@ -366,7 +359,7 @@ pub fn run_rma_native(
     swprof::next_region_label("rma_native.calc");
     let epoch = trace::begin_region(N_LANES);
     pool.run(N_LANES, |lane| {
-        let range = lane_range(n_pkg, lane);
+        let range = cg.block_range(n_pkg, lane);
         let cache_id = trace::next_cache_id();
         let mut copy = if range.is_empty() {
             Vec::new()
@@ -430,7 +423,7 @@ pub fn run_rma_native(
     swprof::next_region_label("rma_native.reduce");
     let epoch = trace::begin_region(N_LANES);
     pool.run(N_LANES, |lane| {
-        let line_range = lane_range(n_lines, lane);
+        let line_range = cg.block_range(n_lines, lane);
         let mut partial = vec![0.0f32; line_range.len() * line_words];
         let mut consumed = false;
         for (li, line) in line_range.clone().enumerate() {
@@ -498,13 +491,14 @@ pub fn run_rca_native(
         "the native RCA kernel is SIMD-only and needs the transposed layout"
     );
     let n_pkg = psys.n_packages();
+    let cg = CoreGroup::new();
     let tracing = trace::enabled();
 
     let slots = lane_slots::<(Range<usize>, Vec<f32>, f64, f64, u64)>();
     swprof::next_region_label("rca_native.calc");
     let epoch = trace::begin_region(N_LANES);
     pool.run(N_LANES, |lane| {
-        let range = lane_range(n_pkg, lane);
+        let range = cg.block_range(n_pkg, lane);
         let mut block = vec![0.0f32; range.len() * FORCE_WORDS];
         let mut e_lj = 0.0f64;
         let mut e_coul = 0.0f64;
@@ -573,6 +567,7 @@ pub fn run_ustc_native(
         "the native USTC kernel is SIMD-only and needs the transposed layout"
     );
     let n_pkg = psys.n_packages();
+    let cg = CoreGroup::new();
     let tracing = trace::enabled();
 
     type UstcOut = (Vec<(u32, [f32; FORCE_WORDS])>, f64, f64, u64);
@@ -580,7 +575,7 @@ pub fn run_ustc_native(
     swprof::next_region_label("ustc_native.calc");
     let epoch = trace::begin_region(N_LANES);
     pool.run(N_LANES, |lane| {
-        let range = lane_range(n_pkg, lane);
+        let range = cg.block_range(n_pkg, lane);
         let mut sink = RecordSink {
             records: Vec::new(),
         };
@@ -659,20 +654,6 @@ mod tests {
         let half = PairList::build(&r, 0.7, ListKind::Half);
         let en = compute_forces_half(&mut r, &half, params);
         (r.force, en.total(), en.pairs_within_cutoff)
-    }
-
-    #[test]
-    fn lane_range_partitions_like_block_range() {
-        let cg = sw26010::CoreGroup::new();
-        for n in [0, 1, 63, 64, 65, 800, 6001] {
-            for lane in 0..N_LANES {
-                assert_eq!(
-                    lane_range(n, lane),
-                    cg.block_range(n, lane),
-                    "n={n} lane={lane}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -60,13 +60,6 @@ pub fn berendsen_scale(sys: &mut System, dt: f32, tau: f32, t_ref: f64, t_now: f
     }
 }
 
-/// Wrap all positions back into the primary box image.
-pub fn wrap_positions(sys: &mut System) {
-    for p in &mut sys.pos {
-        *p = sys.pbc.wrap(*p);
-    }
-}
-
 /// Maximum displacement of any particle relative to `reference`; used to
 /// decide when the pair list must be rebuilt before `nstlist` expires.
 pub fn max_displacement(sys: &System, reference: &[Vec3]) -> f32 {

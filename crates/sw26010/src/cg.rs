@@ -11,9 +11,7 @@
 //! (§2.2/§4.3) hinges on.
 
 use crate::ldm::Ldm;
-use crate::params::{
-    CPES_PER_CG, CPE_MESH_DIM, REG_COMM_CYCLES, SPAWN_JOIN_CYCLES, STRAGGLER_TIMEOUT_CYCLES,
-};
+use crate::params::{CPES_PER_CG, CPE_MESH_DIM, SPAWN_JOIN_CYCLES, STRAGGLER_TIMEOUT_CYCLES};
 use crate::perf::PerfCounters;
 
 /// Execution context of one CPE kernel instance.
@@ -45,11 +43,30 @@ impl CpeCtx {
     pub fn col(&self) -> usize {
         self.id % CPE_MESH_DIM
     }
+}
 
-    /// Account one hop of register communication to a row/column neighbor.
-    pub fn reg_comm(&mut self, hops: u64) {
-        self.perf.cycles += hops * REG_COMM_CYCLES;
+/// Straggler recovery for the current lane, shared by the metered
+/// [`CoreGroup::spawn`] and the native pool: up to four injected hangs
+/// are each killed and respawned, emitting a `cpe-hang` abort and
+/// bumping the `fault.respawns` counter. Hangs are decided *before* the
+/// kernel body runs, so an aborted attempt has zero side effects (SWC105
+/// holds trivially) and the respawned body replays bit-identically.
+/// Returns the simulated cost: the MPE's straggler timeout plus backoff
+/// per respawn. Call only while a fault plan is enabled.
+pub(crate) fn respawn_stragglers() -> u64 {
+    let mut cycles = 0;
+    for attempt in 0..4 {
+        let Some(payload) = swfault::decide(swfault::Site::CpeHang) else {
+            break;
+        };
+        cycles += STRAGGLER_TIMEOUT_CYCLES
+            + swfault::retry::backoff_cycles(attempt, SPAWN_JOIN_CYCLES, payload);
+        crate::trace::emit_abort("cpe-hang");
+        if swprof::enabled() {
+            swprof::metrics::counter_add("fault.respawns", 1);
+        }
     }
+    cycles
 }
 
 /// Execution context of the management processing element (MPE).
@@ -149,31 +166,9 @@ impl CoreGroup {
                         let mut ctx = CpeCtx::new(id);
                         if faults {
                             swfault::set_lane(Some(id));
-                            // Straggler recovery: a hung instance is
-                            // decided *before* the kernel body runs, so
-                            // the aborted attempt has zero side effects
-                            // (SWC105 holds trivially) and the respawned
-                            // closure replays bit-identically. Each
-                            // respawn charges the MPE's straggler
-                            // timeout plus backoff to this CPE's
-                            // timeline — only simulated time moves.
-                            let mut attempt = 0u32;
-                            while attempt < 4 {
-                                let Some(payload) = swfault::decide(swfault::Site::CpeHang) else {
-                                    break;
-                                };
-                                ctx.perf.cycles += STRAGGLER_TIMEOUT_CYCLES
-                                    + swfault::retry::backoff_cycles(
-                                        attempt,
-                                        SPAWN_JOIN_CYCLES,
-                                        payload,
-                                    );
-                                crate::trace::emit_abort("cpe-hang");
-                                if profiling {
-                                    swprof::metrics::counter_add("fault.respawns", 1);
-                                }
-                                attempt += 1;
-                            }
+                            // Only simulated time moves: the respawns
+                            // are charged to this CPE's timeline.
+                            ctx.perf.cycles += respawn_stragglers();
                         }
                         let r = if profiling {
                             swprof::set_track(Some(id));

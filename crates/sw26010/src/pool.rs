@@ -15,15 +15,16 @@
 //! stack cannot tell the backends apart: the trace layer sees the lane
 //! as its CPE id ([`trace::set_current_cpe`](crate::trace::set_current_cpe)),
 //! fault injection addresses it by lane, and an injected CPE hang walks
-//! the same bounded respawn loop as the metered spawn — decided *before*
-//! the lane body runs, so a hang never perturbs the physics.
+//! the metered spawn's bounded respawn loop (`cg::respawn_stragglers`)
+//! — decided *before* the lane body runs, so a hang never perturbs the
+//! physics.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Number of logical lanes a kernel region is divided into (one per CPE
 /// of a core group), independent of how many OS threads execute them.
-pub const N_LANES: usize = 64;
+pub const N_LANES: usize = crate::params::CPES_PER_CG;
 
 /// A type-erased pointer to the lane closure of the active region. The
 /// pointee lives on [`NativePool::run`]'s stack; it stays valid for the
@@ -247,20 +248,9 @@ fn run_lane(f: &(dyn Fn(usize) + Sync), lane: usize) {
     let faults = swfault::enabled();
     if faults {
         swfault::set_lane(Some(lane));
-        let mut attempt = 0u32;
-        while attempt < 4 {
-            let Some(_payload) = swfault::decide(swfault::Site::CpeHang) else {
-                break;
-            };
-            // A hung lane is killed and respawned; the native pool has
-            // no simulated clock to charge, so the penalty is the
-            // wall-clock respawn itself.
-            crate::trace::emit_abort("cpe-hang");
-            if swprof::enabled() {
-                swprof::metrics::counter_add("fault.respawns", 1);
-            }
-            attempt += 1;
-        }
+        // The pool has no simulated clock to charge, so the respawn
+        // cost is dropped: the penalty is the wall-clock respawn itself.
+        crate::cg::respawn_stragglers();
         // An injected worker-thread panic, decided *before* the lane
         // body runs so a poisoned region leaves no partial physics from
         // this lane. The worker's catch_unwind absorbs it; the region

@@ -6,10 +6,12 @@
 //! in their own test binary keeps the scopes from perturbing the
 //! cost-model unit tests that assert exact cycle counts.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use sw26010::cg::CoreGroup;
 use sw26010::dma::{Dir, DmaEngine};
 use sw26010::ldm::Ldm;
 use sw26010::perf::PerfCounters;
+use sw26010::pool::{NativePool, N_LANES};
 use sw26010::trace;
 use swfault::{FaultPlan, Site};
 
@@ -87,6 +89,31 @@ fn cpe_hang_respawns_emit_abort_and_charge_straggler_timeout() {
     assert!(faulty.region.cycles > clean.region.cycles);
     // The aborted attempt is visible to swcheck and attributed to the
     // hung CPE, with no earlier side effects from that attempt.
+    assert_one_hang_abort_on_cpe_7(&events);
+
+    // The native pool walks the same respawn protocol: lane 7 hangs
+    // once, is respawned before its body runs, and every lane body
+    // still runs exactly once.
+    let pool = NativePool::with_threads(4);
+    let hits: Vec<AtomicUsize> = (0..N_LANES).map(|_| AtomicUsize::new(0)).collect();
+    let scope = swfault::install(FaultPlan::with_seed(3).one_shot(Site::CpeHang, Some(7), 0));
+    // Opened under the fault scope, so no sibling fault test can emit
+    // aborts into this (process-global) trace session.
+    let session = trace::Session::begin();
+    pool.run(N_LANES, |lane| {
+        hits[lane].fetch_add(1, Ordering::Relaxed);
+    });
+    let events = session.finish();
+    let log = scope.finish();
+    for (lane, h) in hits.iter().enumerate() {
+        assert_eq!(h.load(Ordering::Relaxed), 1, "lane {lane}");
+    }
+    assert_eq!(log.count(Site::CpeHang), 1);
+    assert_one_hang_abort_on_cpe_7(&events);
+}
+
+#[track_caller]
+fn assert_one_hang_abort_on_cpe_7(events: &[trace::Event]) {
     let aborts: Vec<_> = events
         .iter()
         .filter(|e| matches!(e, trace::Event::Abort { .. }))
